@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
+
 #include "core/video_aware_scheduler.h"
 #include "fec/converge_fec_controller.h"
 #include "session/sender.h"
@@ -296,6 +300,75 @@ TEST_F(SenderTest, MultiStreamSplitsEncoderBudget) {
   std::set<uint32_t> ssrcs;
   for (const auto& [path, p] : sent_) ssrcs.insert(p.ssrc);
   EXPECT_GE(ssrcs.size(), 3u);
+}
+
+TEST_F(SenderTest, LegacyNackAnsweredForEverySsrc) {
+  // Three streams share one sender: each SSRC's own history must hold its
+  // recent packets however many packets the other streams have sent.
+  Build(/*num_streams=*/3);
+  FeedHealthyFeedback(Duration::Seconds(30.0));
+  std::map<uint32_t, RtpPacket> newest;  // ssrc -> last media packet sent
+  for (const auto& [path, p] : sent_) {
+    if (p.kind == PayloadKind::kMedia && !p.via_rtx) newest[p.ssrc] = p;
+  }
+  ASSERT_EQ(newest.size(), 3u);
+  // Enough traffic that a history shared across SSRCs and capped at 4096
+  // packets would have lost the lower streams entirely.
+  ASSERT_GT(CountKind(PayloadKind::kMedia), 3 * 4096 / 2);
+
+  const int64_t before = sender_->stats().rtx_packets_sent;
+  for (const auto& [ssrc, p] : newest) {
+    Nack nack;
+    nack.ssrc = ssrc;
+    nack.seqs = {p.seq};
+    RtcpPacket rtcp;
+    rtcp.path_id = kInvalidPathId;
+    rtcp.payload = nack;
+    sender_->HandleRtcp(rtcp, loop_.now());
+  }
+  loop_.RunUntil(loop_.now() + Duration::Millis(50));
+  EXPECT_EQ(sender_->stats().rtx_packets_sent - before, 3);
+  std::set<std::pair<uint32_t, uint16_t>> answered;
+  for (const auto& [path, p] : sent_) {
+    if (p.via_rtx) answered.insert({p.ssrc, p.seq});
+  }
+  for (const auto& [ssrc, p] : newest) {
+    EXPECT_EQ(answered.count({ssrc, p.seq}), 1u) << "ssrc " << ssrc;
+  }
+}
+
+TEST_F(SenderTest, NackAnsweredInsideHorizonButNotLongAfter) {
+  Build();
+  FeedHealthyFeedback(Duration::Seconds(12.0));
+  // The feedback above measures a 50 ms RTT on both paths, so the history
+  // keeps everything sent in the last 3 × max(1 s, 3 × 50 ms) = 3 s. Its
+  // ring holds at most about two horizons' worth at a steady rate, so a
+  // packet from the first seconds of the call has had its slot reused.
+  const Timestamp now = loop_.now();
+  std::optional<RtpPacket> old_packet;
+  std::optional<RtpPacket> recent_packet;
+  for (const auto& [path, p] : sent_) {
+    if (p.kind != PayloadKind::kMedia || p.via_rtx) continue;
+    if (now - p.send_time > Duration::Seconds(9)) old_packet = p;
+    if (!recent_packet && now - p.send_time < Duration::Seconds(2.5)) {
+      recent_packet = p;
+    }
+  }
+  ASSERT_TRUE(old_packet.has_value());
+  ASSERT_TRUE(recent_packet.has_value());
+
+  auto nack_for = [&](const RtpPacket& p) {
+    Nack nack;
+    nack.seqs = {p.mp_seq};
+    RtcpPacket rtcp;
+    rtcp.path_id = p.path_id;
+    rtcp.payload = nack;
+    sender_->HandleRtcp(rtcp, loop_.now());
+  };
+  nack_for(*old_packet);
+  EXPECT_EQ(sender_->stats().rtx_packets_sent, 0);
+  nack_for(*recent_packet);
+  EXPECT_EQ(sender_->stats().rtx_packets_sent, 1);
 }
 
 }  // namespace
