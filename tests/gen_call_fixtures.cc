@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "conference_fixtures.h"
 #include "net/loss_model.h"
 #include "session/call.h"
 #include "session/conference.h"
@@ -112,17 +113,30 @@ int main(int argc, char** argv) {
     out << CallStatsToJson(stats);
     std::printf("%s: %s\n", ToString(v).c_str(), path.c_str());
   }
-  {
-    Conference conference(FixtureConferenceConfig());
+  const struct {
+    const char* label;
+    const char* file;
+    ConferenceConfig config;
+  } conferences[] = {
+      {"star-3 conference", "conference_fixture_star3.json",
+       FixtureConferenceConfig()},
+      {"mesh-churn conference", "conference_fixture_mesh_churn.json",
+       fixtures::MeshChurnConfig()},
+      {"cascade-failover conference",
+       "conference_fixture_cascade_failover.json",
+       fixtures::CascadeFailoverConfig()},
+  };
+  for (const auto& c : conferences) {
+    Conference conference(c.config);
     const ConferenceStats stats = conference.Run();
-    const std::string path = dir + "/conference_fixture_star3.json";
+    const std::string path = dir + "/" + c.file;
     std::ofstream out(path, std::ios::binary);
     if (!out) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
     }
     out << ConferenceStatsToJson(stats);
-    std::printf("star-3 conference: %s\n", path.c_str());
+    std::printf("%s: %s\n", c.label, path.c_str());
   }
   return 0;
 }
