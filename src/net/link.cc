@@ -12,7 +12,11 @@ constexpr int64_t kMinServiceBps = 10'000;
 }  // namespace
 
 Link::Link(EventLoop* loop, Config config, Random rng)
-    : loop_(loop), config_(std::move(config)), rng_(rng) {}
+    : loop_(loop), config_(std::move(config)), rng_(rng) {
+  if (config_.loss != nullptr) {
+    if (auto own = config_.loss->PerLinkCopy()) config_.loss = std::move(own);
+  }
+}
 
 int64_t Link::QueueLimitBytes() const {
   const int64_t delay_based =

@@ -20,6 +20,11 @@ class LossModel {
   virtual bool ShouldDrop(Timestamp now, Random& rng) = 0;
   // Current average loss fraction (for introspection/tests).
   virtual double AverageRate(Timestamp now) const = 0;
+  // Every link built from one PathSpec (each mesh leg, each star edge, each
+  // copy of a config run in parallel) gets the spec's model. A model that
+  // keeps state between packets returns a fresh copy here, which the link
+  // owns; a stateless model returns null and is shared.
+  virtual std::shared_ptr<LossModel> PerLinkCopy() const { return nullptr; }
 };
 
 // No loss.
@@ -56,6 +61,10 @@ class GilbertElliottLoss final : public LossModel {
 
   bool ShouldDrop(Timestamp, Random& rng) override;
   double AverageRate(Timestamp) const override;
+  // The burst state is per link: each copy starts in the Good state.
+  std::shared_ptr<LossModel> PerLinkCopy() const override {
+    return std::make_shared<GilbertElliottLoss>(config_);
+  }
 
  private:
   Config config_;

@@ -54,8 +54,10 @@ std::vector<CallStats> RunCalls(const std::vector<CallConfig>& configs,
   ParallelFor(
       static_cast<int64_t>(configs.size()),
       [&](int64_t i) {
-        // Each worker gets a private copy of the config: nothing a Call
-        // mutates can alias another worker's state.
+        // Each worker gets its own copy of the config. The copies share
+        // the PathSpecs' loss models, and every link takes its own copy of
+        // a stateful one (LossModel::PerLinkCopy), so no worker's run
+        // touches another's state.
         CallConfig config = configs[static_cast<size_t>(i)];
         Call call(config);
         out[static_cast<size_t>(i)] = call.Run();

@@ -146,7 +146,9 @@ std::shared_ptr<LossModel> GenerateLoss(Scenario scenario, Carrier carrier,
   // Per-packet transition probabilities assuming ~1000 pkt/s nominal.
   config.p_good_to_bad = env.burst_per_s / 1000.0;
   config.p_bad_to_good = 1.0 / (0.3 * 1000.0);  // ~300 ms bursts
-  (void)seed;  // state is per-link; the link provides the RNG
+  // Each link takes its own copy of the burst state (PerLinkCopy) and
+  // draws from its own RNG, so the seed is not needed here.
+  (void)seed;
   return std::make_shared<GilbertElliottLoss>(config);
 }
 

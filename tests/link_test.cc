@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "net/link.h"
 #include "net/network.h"
 #include "net/path.h"
@@ -124,6 +128,40 @@ TEST(GilbertElliottTest, AverageRateMatchesStationaryDistribution) {
     if (model.ShouldDrop(Timestamp::Zero(), rng)) ++drops;
   }
   EXPECT_NEAR(static_cast<double>(drops) / n, 0.05, 0.01);
+}
+
+// Sends 200 packets on network `a` (and, when `b_busy`, 200 interleaved
+// ones on `b`, both built from `spec`); returns a's per-packet fates.
+std::vector<bool> DropPattern(const PathSpec& spec, bool b_busy) {
+  EventLoop loop;
+  Network a(&loop, {spec}, Random(11));
+  Network b(&loop, {spec}, Random(12));
+  std::vector<bool> lost(200, false);
+  for (size_t i = 0; i < lost.size(); ++i) {
+    a.path(0).forward().Send(
+        1000, [](Timestamp) {}, [&lost, i](bool) { lost[i] = true; });
+    if (b_busy) b.path(0).forward().Send(1000, [](Timestamp) {});
+  }
+  loop.RunAll();
+  return lost;
+}
+
+// Every link built from one PathSpec runs its own Gilbert-Elliott burst
+// chain, so one link's losses never depend on another link's traffic.
+TEST(GilbertElliottTest, LinksFromOnePathSpecKeepTheirOwnBurstState) {
+  GilbertElliottLoss::Config c;
+  c.p_good_to_bad = 0.05;
+  c.p_bad_to_good = 0.2;
+  c.loss_good = 0.01;
+  c.loss_bad = 0.5;
+  PathSpec spec;
+  spec.capacity = BandwidthTrace::Constant(DataRate::MegabitsPerSec(100));
+  spec.prop_delay = Duration::Millis(5);
+  spec.loss = std::make_shared<GilbertElliottLoss>(c);
+  const std::vector<bool> alone = DropPattern(spec, /*b_busy=*/false);
+  const std::vector<bool> shared = DropPattern(spec, /*b_busy=*/true);
+  EXPECT_GT(std::count(alone.begin(), alone.end(), true), 0);
+  EXPECT_EQ(alone, shared) << "link A's losses moved with link B's traffic";
 }
 
 TEST(PathTest, ForwardAndBackwardAreIndependent) {
