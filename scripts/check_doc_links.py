@@ -14,7 +14,10 @@ Two classes of reference are checked:
    repository paths are checked: they must start with a known top-level
    directory (src/, tests/, bench/, docs/, examples/, scripts/, .github/)
    or be a top-level *.md name, and may use `*` globs (e.g.
-   `src/video/quality.*` must match at least one file). Build outputs,
+   `src/video/quality.*` must match at least one file). Like a link, the
+   path may be relative to the markdown file's own directory (perfbench's
+   README names `src/assembly.cc`, i.e. perfbench/src/assembly.cc); it
+   is accepted if it resolves there or at the repo root. Build outputs,
    env-var examples, and placeholder templates (`tests/<module>_test.cc`)
    are ignored.
 
@@ -56,6 +59,17 @@ def is_external(target):
     return re.match(r"^[a-z][a-z0-9+.-]*:", target) or target.startswith("//")
 
 
+def path_exists(resolved):
+    """True if `resolved` exists, matches as a `*` glob, or names a module
+    without its extension (`src/video/encoder` for the .h/.cc pair)."""
+    if "*" in resolved:
+        return bool(glob.glob(resolved))
+    if os.path.exists(resolved):
+        return True
+    stem = os.path.basename(resolved)
+    return "." not in stem and bool(glob.glob(resolved + ".*"))
+
+
 def check_file(root, relpath, problems):
     path = os.path.join(root, relpath)
     base = os.path.dirname(path)
@@ -83,20 +97,11 @@ def check_file(root, relpath, problems):
             if not (token.startswith(PATH_ROOTS) or
                     (token.endswith(".md") and "/" not in token)):
                 continue
-            resolved = os.path.join(root, token)
-            if "*" in token:
-                if not glob.glob(resolved):
-                    problems.append(f"{relpath}:{lineno}: path glob "
-                                    f"'{token}' matches nothing")
-            elif not os.path.exists(resolved):
-                # `src/video/encoder` style module references name the
-                # .h/.cc pair without an extension; accept them if the
-                # stem matches something.
-                stem = os.path.basename(token)
-                if "." not in stem and glob.glob(resolved + ".*"):
-                    continue
-                problems.append(f"{relpath}:{lineno}: referenced path "
-                                f"'{token}' does not exist")
+            if any(path_exists(os.path.join(b, token)) for b in (root, base)):
+                continue
+            what = "path glob" if "*" in token else "referenced path"
+            tail = "matches nothing" if "*" in token else "does not exist"
+            problems.append(f"{relpath}:{lineno}: {what} '{token}' {tail}")
 
 
 def main():
