@@ -55,7 +55,9 @@ class ReceiverEndpoint {
   void Start();
   // Cancels the periodic feedback timer when the participant leaves mid-call.
   // Late packets still in flight may keep arriving; they are absorbed (and
-  // counted) but no longer generate feedback toward the sender.
+  // counted) and no longer produce periodic feedback (receiver reports,
+  // transport feedback), but NACKs, keyframe requests and QoE feedback they
+  // trigger still go out at once through the transmit callback.
   void Stop();
 
   // Network delivery entry points. RTP packets arrive by value and are moved
