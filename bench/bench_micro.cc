@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot components: the packet
 // scheduler decision, XOR FEC encode/recover, the trendline estimator,
-// packet-buffer insertion, trace sampling, and raw event-loop throughput.
+// packet-buffer insertion, trace sampling, raw event-loop throughput, and
+// the hub downlink's and receiver endpoint's transport-feedback loops.
 #include <benchmark/benchmark.h>
 
 #include <utility>
 
+#include "cc/downlink_cc.h"
 #include "cc/trendline.h"
 #include "core/video_aware_scheduler.h"
 #include "fec/xor_fec.h"
@@ -14,6 +16,7 @@
 #include "receiver/packet_buffer.h"
 #include "rtp/rtp_packet.h"
 #include "session/call.h"
+#include "session/receiver_endpoint.h"
 #include "sim/event_loop.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -303,6 +306,90 @@ void BM_TraceProbeDisabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceProbeDisabled);
+
+// The hub's per-(receiver, path) congestion loop in steady state: a full
+// 8192-entry sent history spread over 7 origin legs, each leg registering
+// 10 packets and then acknowledging them in one feedback batch, the shape
+// of the SFU downlink (mostly ALR padding) between two feedback intervals.
+void BM_DownlinkCcSendFeedback(benchmark::State& state) {
+  constexpr int kLegs = 7;
+  constexpr int kBatch = 10;
+  DownlinkCc::Config config;
+  config.max_history = 8192;
+  DownlinkCc cc(config);
+  std::vector<int64_t> next_seq(kLegs, 0);
+  Timestamp now = Timestamp::Zero();
+  int leg = 0;
+  TransportFeedback fb;
+  fb.arrivals.resize(kBatch);
+  auto round = [&] {
+    const int64_t first = next_seq[static_cast<size_t>(leg)];
+    for (int i = 0; i < kBatch; ++i) {
+      now += Duration::Micros(250);
+      cc.OnPacketSent(leg, first + i, now, 1200);
+      fb.arrivals[static_cast<size_t>(i)] = {first + i,
+                                             now + Duration::Millis(20)};
+    }
+    next_seq[static_cast<size_t>(leg)] += kBatch;
+    cc.OnTransportFeedback(leg, fb, now + Duration::Millis(40));
+    leg = (leg + 1) % kLegs;
+  };
+  while (cc.packets_registered() < static_cast<int64_t>(config.max_history)) {
+    round();
+  }
+  for (auto _ : state) round();
+  benchmark::DoNotOptimize(cc.target_rate());
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_DownlinkCcSendFeedback);
+
+// Receiver-side transport feedback: 100 padding packets per path per 50 ms
+// interval on two paths (one duplicate and one reordered pair each), then
+// the periodic feedback that reports them.
+void BM_ReceiverEndpointFeedback(benchmark::State& state) {
+  constexpr int kPerInterval = 100;
+  EventLoop loop;
+  ReceiverEndpoint::Config config;
+  config.ssrcs = {0x1000};
+  config.feedback_interval = Duration::Millis(50);
+  int64_t arrivals = 0;
+  ReceiverEndpoint endpoint(
+      &loop, config, nullptr, [&arrivals](PathId, const RtcpPacket& packet) {
+        if (const auto* fb = std::get_if<TransportFeedback>(&packet.payload)) {
+          arrivals += static_cast<int64_t>(fb->arrivals.size());
+        }
+      });
+  endpoint.Start();
+  RtpPacket proto;
+  proto.ssrc = 0x1000;
+  proto.kind = PayloadKind::kProbe;
+  proto.is_probe_duplicate = true;
+  proto.payload_bytes = 1100;
+  uint16_t seq[2] = {0, 0};
+  auto deliver = [&](PathId path, uint16_t s) {
+    RtpPacket p = proto;
+    p.mp_seq = s;
+    p.mp_transport_seq = s;
+    p.path_id = path;
+    endpoint.OnRtpPacket(std::move(p), loop.now(), path);
+  };
+  for (auto _ : state) {
+    for (int i = 0; i < kPerInterval; ++i) {
+      for (PathId path = 0; path < 2; ++path) {
+        // Swap seqs 10 and 11 of each interval; repeat seq 20.
+        const int offset = i == 10 ? 1 : i == 11 ? -1 : 0;
+        const auto s = static_cast<uint16_t>(seq[path] + offset);
+        deliver(path, s);
+        if (i == 20) deliver(path, s);
+        ++seq[path];
+      }
+    }
+    loop.RunUntil(loop.now() + config.feedback_interval);
+  }
+  benchmark::DoNotOptimize(arrivals);
+  state.SetItemsProcessed(state.iterations() * kPerInterval * 2);
+}
+BENCHMARK(BM_ReceiverEndpointFeedback);
 
 // End-to-end cost of one short 2-party call: the fleet-scale figure of
 // merit. Everything this PR pools — timer wheel dispatch, link ring

@@ -1204,8 +1204,8 @@ void Conference::ApplyMembershipEvent(const MembershipEvent& ev) {
 
 namespace {
 
-CallStats CollectLegStats(const ConferenceConfig& config, int num_streams,
-                          MetricsCollector* metrics, const Sender& sender,
+CallStats CollectLegStats(int num_streams, MetricsCollector* metrics,
+                          const Sender& sender,
                           const ReceiverEndpoint& receiver,
                           Timestamp window_start, Timestamp window_end) {
   CallStats out;
@@ -1367,7 +1367,6 @@ ConferenceStats Conference::Collect() {
     // from the shared uplink, so they repeat across the uplink's legs; the
     // receive-side QoE is per leg.
     ls.stats = CollectLegStats(
-        config_,
         config_.participants[static_cast<size_t>(leg->from)].num_streams,
         leg->metrics.get(), *leg->uplink->sender, *leg->receiver,
         window_start, window_end);

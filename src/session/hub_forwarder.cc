@@ -16,6 +16,36 @@ constexpr size_t kDecisionWindow = 64;
 // apart from the queue probes in `config.trace_category`.
 constexpr char kLayerTraceCategory[] = "hub_layer";
 
+using Verdicts = std::vector<std::pair<int64_t, int>>;
+
+// The verdict for `frame_id`, or null. Packets mostly belong to the newest
+// frames, so the search runs from the back.
+const int* FindVerdict(const Verdicts& verdicts, int64_t frame_id) {
+  for (auto it = verdicts.rbegin(); it != verdicts.rend(); ++it) {
+    if (it->first == frame_id) return &it->second;
+    if (it->first < frame_id) break;
+  }
+  return nullptr;
+}
+
+void SetVerdict(Verdicts& verdicts, int64_t frame_id, int verdict) {
+  auto it = std::lower_bound(verdicts.begin(), verdicts.end(), frame_id,
+                             [](const std::pair<int64_t, int>& v,
+                                int64_t id) { return v.first < id; });
+  if (it != verdicts.end() && it->first == frame_id) {
+    it->second = verdict;
+  } else {
+    verdicts.insert(it, {frame_id, verdict});
+  }
+}
+
+// Keeps the newest kDecisionWindow verdicts.
+void PruneVerdicts(Verdicts& verdicts) {
+  if (verdicts.size() > kDecisionWindow) {
+    verdicts.erase(verdicts.begin(), verdicts.end() - kDecisionWindow);
+  }
+}
+
 bool MediaLike(const RtpPacket& p) {
   return p.kind == PayloadKind::kMedia || p.kind == PayloadKind::kPps ||
          p.kind == PayloadKind::kSps;
@@ -155,10 +185,11 @@ bool HubForwarder::AdmitMedia(int leg, PathId path, const RtpPacket& packet,
   if (packet.frame_kind == FrameKind::kKey) {
     // Keyframes are always admitted; they repair the dependency chain.
     g.open = true;
-    g.decisions[packet.frame_id] = 0;
+    SetVerdict(g.decisions, packet.frame_id, 0);
   } else {
-    auto it = g.decisions.find(packet.frame_id);
-    if (it == g.decisions.end()) {
+    const int* found = FindVerdict(g.decisions, packet.frame_id);
+    int verdict = found != nullptr ? *found : 0;
+    if (found == nullptr) {
       // First packet of a new delta frame: the whole-frame thinning
       // decision. The frame is decodable only if every path carries its
       // share, so thin against the *worst* downlink path backlog.
@@ -175,7 +206,8 @@ bool HubForwarder::AdmitMedia(int leg, PathId path, const RtpPacket& packet,
         }
         admit = worst <= config_.thin_queue_delay;
       }
-      it = g.decisions.emplace(packet.frame_id, admit ? 0 : -1).first;
+      verdict = admit ? 0 : -1;
+      SetVerdict(g.decisions, packet.frame_id, verdict);
       if (!admit) {
         auto pit = paths_.find(culprit);
         PathState& cp =
@@ -190,7 +222,7 @@ bool HubForwarder::AdmitMedia(int leg, PathId path, const RtpPacket& packet,
         CloseGate(g, leg, packet.stream_id, culprit, now);
       }
     }
-    if (it->second < 0) {
+    if (verdict < 0) {
       auto pit = paths_.find(g.culprit);
       PathState& cp =
           pit != paths_.end() ? *pit->second : *paths_.begin()->second;
@@ -198,9 +230,7 @@ bool HubForwarder::AdmitMedia(int leg, PathId path, const RtpPacket& packet,
       return false;
     }
   }
-  while (g.decisions.size() > kDecisionWindow) {
-    g.decisions.erase(g.decisions.begin());
-  }
+  PruneVerdicts(g.decisions);
   return true;
 }
 
@@ -214,12 +244,12 @@ bool HubForwarder::AdmitLayered(StreamGate& g, int leg, PathId path,
     g.rung_window_bytes[packet.spatial_id] += packet.wire_size();
   }
 
-  auto it = g.decisions.find(packet.frame_id);
-  if (it == g.decisions.end()) {
+  const int* found = FindVerdict(g.decisions, packet.frame_id);
+  int rung = found != nullptr ? *found : 0;
+  if (found == nullptr) {
     // First packet of this frame_id (any rung, any path): decide which
     // rung of the frame goes downstream. Exactly one rung per frame_id
     // keeps the subscriber's frame continuity — full fps at every rung.
-    int rung;
     if (packet.frame_kind == FrameKind::kKey) {
       if (g.pending >= 0 && g.pending != g.current) {
         // The keyframe all rungs share is the decodable switch boundary.
@@ -266,13 +296,10 @@ bool HubForwarder::AdmitLayered(StreamGate& g, int leg, PathId path,
         CloseGate(g, leg, packet.stream_id, culprit, now);
       }
     }
-    it = g.decisions.emplace(packet.frame_id, rung).first;
+    SetVerdict(g.decisions, packet.frame_id, rung);
   }
-  while (g.decisions.size() > kDecisionWindow) {
-    g.decisions.erase(g.decisions.begin());
-  }
+  PruneVerdicts(g.decisions);
 
-  const int rung = it->second;
   if (rung < 0) {
     auto pit = paths_.find(g.culprit);
     PathState& cp =
@@ -495,7 +522,7 @@ void HubForwarder::EvictFrame(PathId path, PathState& ps, int leg,
     if (p.frame_id != last_gone) {
       last_gone = p.frame_id;
       ++frames_gone;
-      g.decisions[p.frame_id] = -1;
+      SetVerdict(g.decisions, p.frame_id, -1);
     }
     ps.queued_bytes -= p.wire_size();
     ++ps.stats.packets_dropped;

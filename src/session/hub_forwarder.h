@@ -287,9 +287,10 @@ class HubForwarder {
     uint32_t ssrc = 0;
     Timestamp last_pli = Timestamp::MinusInfinity();
     // Admission verdicts for recent frame ids (packets of one frame arrive
-    // interleaved across paths); pruned to the newest kDecisionWindow.
-    // Value: admitted rung (0 for single-layer streams), -1 = dropped.
-    std::map<int64_t, int> decisions;
+    // interleaved across paths), sorted by frame id; pruned to the newest
+    // kDecisionWindow. Value: admitted rung (0 for single-layer streams),
+    // -1 = dropped.
+    std::vector<std::pair<int64_t, int>> decisions;
     // ---- layered state (meaningful when num_rungs > 1) ----
     int num_rungs = 1;
     int current = 0;   // subscribed rung, 0 = highest quality

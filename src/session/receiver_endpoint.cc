@@ -81,7 +81,7 @@ int ReceiverEndpoint::StreamIndexOf(uint32_t ssrc) const {
 void ReceiverEndpoint::OnRtpPacket(RtpPacket packet, Timestamp arrival,
                                    PathId path) {
   ++stats_.rtp_received;
-  PathReceiveState& ps = path_state_.try_emplace(path, arena_).first->second;
+  PathReceiveState& ps = path_state_.try_emplace(path).first->second;
   ps.last_activity = arrival;
 
   if (config_.per_path_nack) {
@@ -100,7 +100,13 @@ void ReceiverEndpoint::OnRtpPacket(RtpPacket packet, Timestamp arrival,
 
   // Transport-wide accounting (all packet kinds).
   const int64_t tseq = ps.transport_unwrapper.Unwrap(packet.mp_transport_seq);
-  ps.pending_arrivals[tseq] = arrival;
+  if (ps.pending_arrivals.empty()) {
+    ps.pending_min = ps.pending_max = tseq;
+  } else {
+    ps.pending_min = std::min(ps.pending_min, tseq);
+    ps.pending_max = std::max(ps.pending_max, tseq);
+  }
+  ps.pending_arrivals.emplace_back(tseq, arrival);
 
   // Per-path sequence accounting for the receiver report.
   const int64_t mpseq = ps.mp_unwrapper.Unwrap(packet.mp_seq);
@@ -146,7 +152,7 @@ void ReceiverEndpoint::OnRtcpPacket(const RtcpPacket& packet,
                                     Timestamp arrival, PathId path) {
   if (const auto* sr = std::get_if<SenderReport>(&packet.payload)) {
     PathReceiveState& ps =
-        path_state_.try_emplace(path, arena_).first->second;
+        path_state_.try_emplace(path).first->second;
     ps.last_sr_time = sr->send_time;
     ps.last_sr_arrival = arrival;
   } else if (const auto* sdes = std::get_if<SdesFrameRate>(&packet.payload)) {
@@ -163,21 +169,21 @@ void ReceiverEndpoint::SendFeedback() {
     if (!ps.last_activity.IsFinite()) continue;
 
     // Transport feedback: every transport seq in (highest_reported,
-    // max_pending], received or not.
+    // max_pending], received or not. A seq that arrived twice reports its
+    // latest arrival; arrivals at or below highest_reported are late and
+    // dropped (and an all-late batch lowers highest_reported to its max).
     if (!ps.pending_arrivals.empty()) {
       TransportFeedback fb;
-      const int64_t hi = ps.pending_arrivals.rbegin()->first;
-      const int64_t lo =
-          ps.highest_reported >= 0 ? ps.highest_reported + 1
-                                   : ps.pending_arrivals.begin()->first;
+      const int64_t hi = ps.pending_max;
+      const int64_t lo = ps.highest_reported >= 0 ? ps.highest_reported + 1
+                                                  : ps.pending_min;
       for (int64_t s = lo; s <= hi; ++s) {
-        TransportFeedback::Arrival a;
-        a.mp_transport_seq = s;
-        auto it = ps.pending_arrivals.find(s);
-        a.recv_time =
-            it != ps.pending_arrivals.end() ? it->second
-                                            : Timestamp::MinusInfinity();
-        fb.arrivals.push_back(a);
+        fb.arrivals.push_back({s, Timestamp::MinusInfinity()});
+      }
+      for (const auto& [seq, arrival] : ps.pending_arrivals) {
+        if (seq >= lo) {
+          fb.arrivals[static_cast<size_t>(seq - lo)].recv_time = arrival;
+        }
       }
       ps.highest_reported = hi;
       ps.pending_arrivals.clear();

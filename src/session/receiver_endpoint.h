@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "receiver/nack_generator.h"
@@ -74,10 +75,12 @@ class ReceiverEndpoint {
 
  private:
   struct PathReceiveState {
-    explicit PathReceiveState(PoolArena* arena) : pending_arrivals(arena) {}
     SeqUnwrapper transport_unwrapper;
-    // Arrivals since the last transport feedback: seq -> time.
-    ArenaMap<int64_t, Timestamp> pending_arrivals;
+    // Arrivals since the last transport feedback, in arrival order
+    // (duplicates and reordering kept), with the extreme seqs among them.
+    std::vector<std::pair<int64_t, Timestamp>> pending_arrivals;
+    int64_t pending_min = 0;
+    int64_t pending_max = 0;
     int64_t highest_reported = -1;
     // Per-path media loss accounting (mp_seq space).
     SeqUnwrapper mp_unwrapper;

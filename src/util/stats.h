@@ -92,13 +92,18 @@ class RateEstimator {
 
   void AddBytes(Timestamp now, int64_t bytes);
   DataRate Rate(Timestamp now) const;
-  void Clear() { events_.clear(); }
+  void Clear() {
+    events_.clear();
+    total_bytes_ = 0;
+  }
 
  private:
   void Evict(Timestamp now) const;
 
   Duration window_;
   mutable std::deque<std::pair<Timestamp, int64_t>> events_;
+  // Sum of the bytes in events_, kept in step by AddBytes and Evict.
+  mutable int64_t total_bytes_ = 0;
 };
 
 // Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <memory>
+#include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cc/downlink_cc.h"
@@ -521,6 +526,205 @@ TEST(DownlinkCcTest, SkipsArrivalsOutsideSentHistory) {
   cc.OnTransportFeedback(0, fb, Timestamp::Zero() + Duration::Millis(20));
   EXPECT_EQ(cc.feedback_batches(), 0);
   EXPECT_EQ(cc.packets_acked(), 0);
+  EXPECT_EQ(cc.feedback_unmatched(), 1);
+}
+
+TEST(DownlinkCcTest, CountsFeedbackForPrunedAndUnknownSeqs) {
+  DownlinkCc::Config config;
+  config.max_history = 4;
+  DownlinkCc cc(config);
+  const Timestamp t0 = Timestamp::Zero();
+  for (int64_t seq = 0; seq < 8; ++seq) {
+    cc.OnPacketSent(/*leg=*/1, seq, t0 + Duration::Millis(seq), 1000);
+  }
+  // Seqs 0..3 were pruned, 4..7 are held, 8..9 were never sent; leg 2
+  // never sent anything.
+  TransportFeedback fb;
+  for (int64_t seq = 0; seq < 10; ++seq) {
+    fb.arrivals.push_back({seq, t0 + Duration::Millis(20 + seq)});
+  }
+  cc.OnTransportFeedback(1, fb, t0 + Duration::Millis(40));
+  EXPECT_EQ(cc.packets_acked(), 4);
+  EXPECT_EQ(cc.feedback_unmatched(), 6);
+  cc.OnTransportFeedback(2, fb, t0 + Duration::Millis(45));
+  EXPECT_EQ(cc.packets_acked(), 4);
+  EXPECT_EQ(cc.feedback_unmatched(), 16);
+  EXPECT_EQ(cc.feedback_batches(), 1);
+}
+
+// The sent history as a std::map of (leg, seq) keys plus a deque of keys in
+// registration order: the reference DownlinkCc's history must match.
+class ReferenceDownlinkCc {
+ public:
+  explicit ReferenceDownlinkCc(DownlinkCc::Config config)
+      : config_(config), cc_(MakeCcController(config.controller)) {}
+
+  void OnPacketSent(int leg, int64_t seq, Timestamp send_time,
+                    int64_t bytes) {
+    const auto key = std::make_pair(leg, seq);
+    sent_[key] = {send_time, bytes};
+    sent_order_.push_back(key);
+    ++packets_registered;
+    while (sent_order_.size() > config_.max_history) {
+      sent_.erase(sent_order_.front());
+      sent_order_.pop_front();
+    }
+  }
+
+  void OnTransportFeedback(int leg, const TransportFeedback& fb,
+                           Timestamp now) {
+    std::vector<PacketResult> results;
+    int received = 0;
+    int lost = 0;
+    Timestamp newest_send = Timestamp::MinusInfinity();
+    for (const auto& a : fb.arrivals) {
+      auto it = sent_.find({leg, a.mp_transport_seq});
+      if (it == sent_.end()) {
+        ++feedback_unmatched;
+        continue;
+      }
+      PacketResult r;
+      r.transport_seq = a.mp_transport_seq;
+      r.bytes = it->second.second;
+      r.send_time = it->second.first;
+      r.received = a.recv_time.IsFinite();
+      if (r.received) {
+        r.recv_time = a.recv_time;
+        ++received;
+        newest_send = std::max(newest_send, it->second.first);
+      } else {
+        ++lost;
+      }
+      results.push_back(r);
+    }
+    if (results.empty()) return;
+    packets_acked += received;
+    packets_lost += lost;
+    cc_->OnTransportFeedback(results, now);
+    Duration rtt = Duration::Millis(1);
+    if (newest_send.IsFinite() && now > newest_send) rtt = now - newest_send;
+    cc_->OnReceiverReport(
+        static_cast<double>(lost) / static_cast<double>(received + lost), rtt,
+        now);
+  }
+
+  DataRate target_rate() const { return cc_->target_rate(); }
+
+  int64_t packets_registered = 0;
+  int64_t packets_acked = 0;
+  int64_t packets_lost = 0;
+  int64_t feedback_unmatched = 0;
+
+ private:
+  DownlinkCc::Config config_;
+  std::unique_ptr<CcController> cc_;
+  std::map<std::pair<int, int64_t>, std::pair<Timestamp, int64_t>> sent_;
+  std::deque<std::pair<int, int64_t>> sent_order_;
+};
+
+// Random register/feedback traffic over several legs, including a leg that
+// restarts its egress counter at 0 while its old keys are still held (a
+// rejoin), feedback naming pruned and never-sent seqs, and histories small
+// enough that the FIFO prunes constantly.
+void RunDifferential(size_t max_history, uint32_t seed) {
+  SCOPED_TRACE(testing::Message() << "max_history=" << max_history
+                                  << " seed=" << seed);
+  DownlinkCc::Config config;
+  config.max_history = max_history;
+  config.controller.start_rate = DataRate::MegabitsPerSec(2);
+  config.controller.max_rate = DataRate::MegabitsPerSec(8);
+  DownlinkCc cc(config);
+  ReferenceDownlinkCc ref(config);
+  std::mt19937 rng(seed);
+  auto uniform = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng() % static_cast<uint32_t>(hi - lo + 1));
+  };
+
+  constexpr int kLegs = 5;
+  std::vector<int64_t> next_seq(kLegs, 0);
+  Timestamp now = Timestamp::Zero();
+  for (int step = 0; step < 4000; ++step) {
+    now += Duration::Micros(uniform(100, 3000));
+    const int leg = uniform(0, kLegs - 1);
+    const int action = uniform(0, 99);
+    if (action < 2) {
+      next_seq[static_cast<size_t>(leg)] = 0;  // restart under the same leg
+    } else if (action < 70) {
+      const int burst = uniform(1, 12);
+      for (int i = 0; i < burst; ++i) {
+        const int64_t seq = next_seq[static_cast<size_t>(leg)]++;
+        const int64_t bytes = uniform(60, 1300);
+        cc.OnPacketSent(leg, seq, now, bytes);
+        ref.OnPacketSent(leg, seq, now, bytes);
+      }
+    } else {
+      // A contiguous window ending anywhere up to a few seqs past the
+      // leg's counter, reaching back past the history.
+      const int64_t hi = next_seq[static_cast<size_t>(leg)] + uniform(-3, 3);
+      const int64_t lo = hi - uniform(0, 40);
+      TransportFeedback fb;
+      for (int64_t s = std::max<int64_t>(0, lo); s <= hi; ++s) {
+        const bool received = uniform(0, 9) != 0;
+        fb.arrivals.push_back(
+            {s, received ? now - Duration::Micros(uniform(0, 40'000))
+                         : Timestamp::MinusInfinity()});
+      }
+      const Timestamp at = now + Duration::Millis(uniform(10, 60));
+      cc.OnTransportFeedback(leg, fb, at);
+      ref.OnTransportFeedback(leg, fb, at);
+      ASSERT_EQ(cc.packets_registered(), ref.packets_registered);
+      ASSERT_EQ(cc.packets_acked(), ref.packets_acked);
+      ASSERT_EQ(cc.packets_lost(), ref.packets_lost);
+      ASSERT_EQ(cc.feedback_unmatched(), ref.feedback_unmatched);
+      ASSERT_EQ(cc.target_rate().bps(), ref.target_rate().bps());
+    }
+  }
+  EXPECT_GT(cc.feedback_unmatched(), 0);
+  if (max_history >= 7) {
+    EXPECT_GT(cc.packets_acked(), 0);
+    EXPECT_GT(cc.packets_lost(), 0);
+  }
+}
+
+TEST(DownlinkCcTest, FlatHistoryMatchesMapReference) {
+  for (size_t max_history : {size_t{0}, size_t{1}, size_t{7}, size_t{64},
+                             size_t{500}, size_t{8192}}) {
+    for (uint32_t seed : {1u, 2u, 3u}) RunDifferential(max_history, seed);
+  }
+}
+
+TEST(DownlinkCcTest, RestartedLegOverwritesAndLosesItsNewerRecord) {
+  // A key registered again while its first registration is still queued
+  // takes the new record, and the first registration's pop then erases it.
+  DownlinkCc::Config config;
+  config.max_history = 3;
+  DownlinkCc cc(config);
+  const Timestamp t0 = Timestamp::Zero();
+  cc.OnPacketSent(0, 0, t0, 1000);
+  cc.OnPacketSent(0, 1, t0, 1000);
+  cc.OnPacketSent(0, 0, t0 + Duration::Millis(1), 1000);  // restart
+  TransportFeedback fb;
+  fb.arrivals.push_back({0, t0 + Duration::Millis(10)});
+  cc.OnTransportFeedback(0, fb, t0 + Duration::Millis(20));
+  EXPECT_EQ(cc.packets_acked(), 1);
+  cc.OnPacketSent(0, 2, t0 + Duration::Millis(2), 1000);  // pops first seq 0
+  cc.OnTransportFeedback(0, fb, t0 + Duration::Millis(30));
+  EXPECT_EQ(cc.packets_acked(), 1);
+  EXPECT_EQ(cc.feedback_unmatched(), 1);
+}
+
+TEST(DownlinkCcTest, RejectsKeysOutsideThePackedDomain) {
+  DownlinkCc cc(DownlinkCc::Config{});
+  const Timestamp t0 = Timestamp::Zero();
+  EXPECT_THROW(cc.OnPacketSent(-1, 0, t0, 100), std::out_of_range);
+  EXPECT_THROW(cc.OnPacketSent(0, -1, t0, 100), std::out_of_range);
+  EXPECT_THROW(cc.OnPacketSent(DownlinkCc::kMaxLeg + 1, 0, t0, 100),
+               std::out_of_range);
+  EXPECT_THROW(
+      cc.OnPacketSent(0, DownlinkCc::kMaxTransportSeq + 1, t0, 100),
+      std::out_of_range);
+  cc.OnPacketSent(DownlinkCc::kMaxLeg, DownlinkCc::kMaxTransportSeq, t0, 100);
+  EXPECT_EQ(cc.packets_registered(), 1);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // sequence spaces, and QoE feedback transport.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "session/receiver_endpoint.h"
 
 namespace converge {
@@ -96,6 +98,64 @@ TEST_F(ReceiverEndpointTest, TransportFeedbackMarksMissing) {
   EXPECT_TRUE(fb.arrivals[0].recv_time.IsFinite());
   EXPECT_FALSE(fb.arrivals[1].recv_time.IsFinite());  // the missing one
   EXPECT_TRUE(fb.arrivals[2].recv_time.IsFinite());
+}
+
+TEST_F(ReceiverEndpointTest, FeedbackKeepsDuplicateReorderLateRules) {
+  // Pending arrivals as a seq -> time map (last write wins), reported over
+  // (highest_reported, max] or [min, max] for the first batch. Late seqs at
+  // or below highest_reported drop out; an all-late batch still lowers
+  // highest_reported to its own max.
+  struct MapModel {
+    std::map<int64_t, Timestamp> pending;
+    int64_t highest_reported = -1;
+    std::vector<TransportFeedback::Arrival> Flush() {
+      std::vector<TransportFeedback::Arrival> out;
+      const int64_t hi = pending.rbegin()->first;
+      const int64_t lo =
+          highest_reported >= 0 ? highest_reported + 1 : pending.begin()->first;
+      for (int64_t s = lo; s <= hi; ++s) {
+        auto it = pending.find(s);
+        out.push_back({s, it != pending.end() ? it->second
+                                              : Timestamp::MinusInfinity()});
+      }
+      highest_reported = hi;
+      pending.clear();
+      return out;
+    }
+  };
+  // One batch per 50 ms feedback interval: duplicates with distinct arrival
+  // times, reordering, gaps, late arrivals, and an all-late batch.
+  const std::vector<std::vector<uint16_t>> batches = {
+      {3, 1, 2, 2, 5}, {4, 7, 6, 7}, {3}, {5, 6}, {9, 8, 8, 12}};
+  MapModel model;
+  std::vector<std::vector<TransportFeedback::Arrival>> expected;
+  int64_t arrival_us = 1000;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (uint16_t seq : batches[b]) {
+      arrival_us += 997;
+      const Timestamp arrival = Timestamp::Micros(arrival_us);
+      endpoint_->OnRtpPacket(MakePacket(0, seq, seq), arrival, 0);
+      model.pending[seq] = arrival;
+    }
+    expected.push_back(model.Flush());
+    loop_.RunUntil(Timestamp::Millis(50 * static_cast<int64_t>(b + 1) + 1));
+    arrival_us = 50'000 * static_cast<int64_t>(b + 1) + 1000;
+  }
+  const auto feedbacks = Collect<TransportFeedback>();
+  ASSERT_EQ(feedbacks.size(), expected.size());
+  for (size_t b = 0; b < expected.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "batch " << b);
+    const auto& got = feedbacks[b].second.arrivals;
+    ASSERT_EQ(got.size(), expected[b].size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].mp_transport_seq, expected[b][i].mp_transport_seq);
+      EXPECT_EQ(got[i].recv_time, expected[b][i].recv_time);
+    }
+  }
+  // The all-late batch is empty and the batch after it restarts at 4.
+  EXPECT_TRUE(feedbacks[2].second.arrivals.empty());
+  EXPECT_EQ(feedbacks[3].second.arrivals.front().mp_transport_seq, 4);
+  EXPECT_FALSE(feedbacks[3].second.arrivals.front().recv_time.IsFinite());
 }
 
 TEST_F(ReceiverEndpointTest, SrEchoedInReceiverReport) {

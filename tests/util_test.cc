@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+#include <utility>
+
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/time.h"
@@ -142,6 +146,57 @@ TEST(StatsTest, RateEstimatorWindow) {
   EXPECT_NEAR(est.Rate(t).mbps(), 1.0, 0.05);
   // After the window drains, the rate drops to zero.
   EXPECT_EQ(est.Rate(t + Duration::Seconds(2.0)).bps(), 0);
+}
+
+TEST(StatsTest, RateEstimatorMatchesBruteForceResum) {
+  // The windowed rate recomputed from scratch on every query: the running
+  // total must give the same integer rate after any mix of operations.
+  struct BruteForce {
+    Duration window;
+    std::deque<std::pair<Timestamp, int64_t>> events;
+    void Evict(Timestamp now) {
+      while (!events.empty() && events.front().first < now - window) {
+        events.pop_front();
+      }
+    }
+    int64_t RateBps(Timestamp now) {
+      Evict(now);
+      if (events.empty() || window.IsZero()) return 0;
+      int64_t total = 0;
+      for (const auto& [t, b] : events) total += b;
+      Duration span = now - events.front().first;
+      if (span > window) span = window;
+      if (span < Duration::Millis(1)) span = Duration::Millis(1);
+      return total * 8 * 1'000'000 / span.us();
+    }
+  };
+  for (const Duration window :
+       {Duration::Zero(), Duration::Millis(50), Duration::Millis(800)}) {
+    RateEstimator est(window);
+    BruteForce ref{window, {}};
+    std::mt19937 rng(7);
+    Timestamp now = Timestamp::Zero();
+    for (int i = 0; i < 20'000; ++i) {
+      now += Duration::Micros(static_cast<int64_t>(rng() % 4000));
+      // Some samples are stamped up to 30 ms in the past: out of order.
+      const Timestamp at =
+          rng() % 5 == 0
+              ? now - Duration::Micros(static_cast<int64_t>(rng() % 30'000))
+              : now;
+      const uint32_t op = rng() % 100;
+      if (op < 60) {
+        const int64_t bytes = static_cast<int64_t>(rng() % 1500);
+        est.AddBytes(at, bytes);
+        ref.events.emplace_back(at, bytes);
+        ref.Evict(at);
+      } else if (op < 99) {
+        ASSERT_EQ(est.Rate(at).bps(), ref.RateBps(at)) << "step " << i;
+      } else {
+        est.Clear();
+        ref.events.clear();
+      }
+    }
+  }
 }
 
 TEST(StatsTest, HistogramBinsAndClamping) {
