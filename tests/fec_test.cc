@@ -158,6 +158,36 @@ TEST(FecRecoveryTest, NothingMissingCountsAsUnused) {
   EXPECT_EQ(rec.stats().fec_used, 0);
 }
 
+// 4-packet parity groups with one loss each, running from 8190 seqs before
+// the 16-bit wrap to 16 000 seqs after it (one group straddles 65535 -> 0).
+// Every group must be repaired on both sides of the wrap, and a parity
+// packet whose group arrived complete must not rebuild anything.
+TEST(FecRecovererTest, RecoversAcrossSequenceWrap) {
+  std::vector<RtpPacket> recovered;
+  FecRecoverer rec([&](const RtpPacket& p) { recovered.push_back(p); });
+  constexpr int kGroups = 6048;
+  uint16_t seq = static_cast<uint16_t>(65536 - 8190);
+  for (int g = 0; g < kGroups; ++g) {
+    const std::vector<RtpPacket> media = MakeMedia(4, seq);
+    const auto parity = XorFecEncoder::Generate(Ptrs(media), 1, g);
+    ASSERT_EQ(parity.size(), 1u);
+    const int lost = g % 4;
+    for (int i = 0; i < 4; ++i) {
+      if (i != lost) rec.OnMediaPacket(media[static_cast<size_t>(i)]);
+    }
+    const size_t before = recovered.size();
+    rec.OnFecPacket(parity[0]);
+    ASSERT_EQ(recovered.size(), before + 1) << "group " << g;
+    EXPECT_EQ(recovered.back().seq, media[static_cast<size_t>(lost)].seq);
+    // A second copy of the parity finds its group complete.
+    rec.OnFecPacket(parity[0]);
+    ASSERT_EQ(recovered.size(), before + 1) << "group " << g;
+    seq = static_cast<uint16_t>(seq + 4);
+  }
+  EXPECT_EQ(rec.stats().packets_recovered, kGroups);
+  EXPECT_EQ(rec.pending(), 0u);
+}
+
 TEST(FecTablesTest, MatchesPaperCalibrationPoints) {
   // ~40% at 1% loss (Figure 12), rising with loss; keyframes doubled.
   EXPECT_NEAR(WebRtcProtectionFactor(0.01, FrameKind::kDelta), 0.40, 0.02);
