@@ -137,11 +137,9 @@ void ReceiverEndpoint::OnRtpPacket(RtpPacket packet, Timestamp arrival,
 
   const int idx = StreamIndexOf(packet.ssrc);
   if (idx < 0) return;
-  const bool last_in_frame = packet.last_in_frame;
-  streams_[static_cast<size_t>(idx)]->OnRtpPacket(std::move(packet), arrival,
-                                                  path);
+  streams_[static_cast<size_t>(idx)]->OnRtpPacket(packet, arrival, path);
 
-  if (metrics_ != nullptr && last_in_frame) {
+  if (metrics_ != nullptr && packet.last_in_frame) {
     const auto& stream = *streams_[static_cast<size_t>(idx)];
     metrics_->OnFrameGatheredDelays(stream.qoe().last_fcd(),
                                     stream.frame_buffer().last_ifd());
