@@ -87,20 +87,51 @@ void BM_XorFecGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_XorFecGenerate)->Args({10, 1})->Args({40, 4})->Args({200, 10});
 
+// Arg 0: one 20-packet frame missing its first packet, then 2 parity
+// packets. Arg 1: 1024 four-packet groups, each missing one packet and
+// followed by its parity packet, from 2048 seqs before the 16-bit wrap to
+// 2048 after it.
 void BM_FecRecovery(benchmark::State& state) {
-  const auto frame = MakeFrame(20);
-  std::vector<const RtpPacket*> ptrs;
-  for (const auto& p : frame) ptrs.push_back(&p);
-  const auto parity = XorFecEncoder::Generate(ptrs, 2, 1);
+  std::vector<RtpPacket> arrivals;
+  if (state.range(0) == 0) {
+    const auto frame = MakeFrame(20);
+    std::vector<const RtpPacket*> ptrs;
+    for (const auto& p : frame) ptrs.push_back(&p);
+    arrivals.assign(frame.begin() + 1, frame.end());
+    for (const auto& f : XorFecEncoder::Generate(ptrs, 2, 1)) {
+      arrivals.push_back(f);
+    }
+  } else {
+    uint16_t seq = static_cast<uint16_t>(65536 - 2048);
+    for (int g = 0; g < 1024; ++g) {
+      std::vector<RtpPacket> group = MakeFrame(3);
+      std::vector<const RtpPacket*> ptrs;
+      for (RtpPacket& p : group) {
+        p.seq = seq++;
+        ptrs.push_back(&p);
+      }
+      for (size_t i = 0; i < group.size(); ++i) {
+        if (static_cast<int>(i) != g % 4) arrivals.push_back(group[i]);
+      }
+      arrivals.push_back(XorFecEncoder::Generate(ptrs, 1, g).front());
+    }
+  }
+  int64_t recovered = 0;
   for (auto _ : state) {
-    int recovered = 0;
     FecRecoverer rec([&](const RtpPacket&) { ++recovered; });
-    for (size_t i = 1; i < frame.size(); ++i) rec.OnMediaPacket(frame[i]);
-    for (const auto& f : parity) rec.OnFecPacket(f);
+    for (const RtpPacket& p : arrivals) {
+      if (p.kind == PayloadKind::kFec) {
+        rec.OnFecPacket(p);
+      } else {
+        rec.OnMediaPacket(p);
+      }
+    }
     benchmark::DoNotOptimize(recovered);
   }
+  state.counters["recovered_per_iter"] = static_cast<double>(recovered) /
+                                         static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_FecRecovery);
+BENCHMARK(BM_FecRecovery)->Arg(0)->Arg(1);
 
 void BM_TrendlineUpdate(benchmark::State& state) {
   TrendlineEstimator est;
@@ -113,33 +144,60 @@ void BM_TrendlineUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_TrendlineUpdate);
 
+// 30 frames of `media` + 1 packets. Second arg 1: in order on one path.
+// 2: two paths, alternate packets on each, the second path one frame
+// behind, so every arrival interleaves two frames' halves.
 void BM_PacketBufferInsertAssemble(benchmark::State& state) {
   const int media = static_cast<int>(state.range(0));
+  const bool two_paths = state.range(1) == 2;
+  std::vector<std::vector<RtpPacket>> frames(31);
+  uint16_t seq = 0;
+  for (int frame = 0; frame < 30; ++frame) {
+    for (int i = 0; i <= media; ++i) {
+      RtpPacket p;
+      p.ssrc = 1;
+      p.seq = seq++;
+      p.frame_id = frame;
+      p.first_in_frame = i == 0;
+      p.last_in_frame = i == media;
+      p.marker = i == media;
+      p.payload_bytes = 1100;
+      frames[static_cast<size_t>(frame)].push_back(p);
+    }
+  }
+  struct Arrival {
+    const RtpPacket* packet;
+    Timestamp at;
+    PathId path;
+  };
+  std::vector<Arrival> arrivals;
+  for (int frame = 0; frame <= 30; ++frame) {
+    const Timestamp at = Timestamp::Millis(frame * 33);
+    for (const RtpPacket& p : frames[static_cast<size_t>(frame)]) {
+      if (!two_paths || p.seq % 2 == 0) arrivals.push_back({&p, at, 0});
+    }
+    if (two_paths && frame > 0) {
+      for (const RtpPacket& p : frames[static_cast<size_t>(frame - 1)]) {
+        if (p.seq % 2 == 1) arrivals.push_back({&p, at, 1});
+      }
+    }
+  }
   for (auto _ : state) {
     state.PauseTiming();
     int assembled = 0;
     PacketBuffer buffer({.capacity_packets = 2048},
                         [&](GatheredFrame&&) { ++assembled; });
-    uint16_t seq = 0;
     state.ResumeTiming();
-    for (int frame = 0; frame < 30; ++frame) {
-      for (int i = 0; i <= media; ++i) {
-        RtpPacket p;
-        p.ssrc = 1;
-        p.seq = seq++;
-        p.frame_id = frame;
-        p.first_in_frame = i == 0;
-        p.last_in_frame = i == media;
-        p.marker = i == media;
-        p.payload_bytes = 1100;
-        buffer.Insert(p, Timestamp::Millis(frame * 33), 0);
-      }
-    }
+    for (const Arrival& a : arrivals) buffer.Insert(*a.packet, a.at, a.path);
     benchmark::DoNotOptimize(assembled);
   }
   state.SetItemsProcessed(state.iterations() * 30 * (media + 1));
 }
-BENCHMARK(BM_PacketBufferInsertAssemble)->Arg(10)->Arg(40);
+BENCHMARK(BM_PacketBufferInsertAssemble)
+    ->Args({10, 1})
+    ->Args({40, 1})
+    ->Args({10, 2})
+    ->Args({40, 2});
 
 void BM_TraceLookup(benchmark::State& state) {
   Random rng(1);
